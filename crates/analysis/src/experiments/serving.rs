@@ -338,13 +338,37 @@ fn check_live_consistency(
     }
 }
 
+/// Bursts a capacity calibration takes the fastest of: a burst shares
+/// the host with whatever else runs on it, so one burst can read well
+/// below the pool's capacity — and a load at "2× capacity" then fails
+/// to overload it.
+const CALIBRATION_BURSTS: usize = 5;
+
 /// Calibrates a capacity estimate: the steady-state rate of one worker
-/// pool fed as fast as it can drain (a burst of full batches).
+/// pool fed as fast as it can drain. Each burst holds eight full
+/// batches per worker; its rate counts the completions after the first
+/// batch over the time from that batch to the last, so the fill
+/// latency of an idle pool does not dilute it. The estimate is the
+/// fastest of `CALIBRATION_BURSTS` bursts.
 fn calibrate(net: &Network, cfg: &ServeConfig, compiler: &PlanCompiler) -> f64 {
-    let burst = (cfg.workers * cfg.policy.max_batch * 2).max(8);
-    // An absurdly high offered rate degenerates into a burst.
-    let (_, makespan, _) = drive(net, cfg, compiler, 1e6, burst);
-    burst as f64 / makespan.as_secs_f64()
+    let burst = (cfg.workers * cfg.policy.max_batch * 8).max(32);
+    (0..CALIBRATION_BURSTS)
+        .map(|_| {
+            // An absurdly high offered rate degenerates into a burst:
+            // every request is submitted within microseconds, so its
+            // latency is its completion time.
+            let (stats, _, _) = drive(net, cfg, compiler, 1e6, burst);
+            let mut done: Vec<(Duration, usize)> = stats
+                .records
+                .iter()
+                .map(|r| (r.latency.total(), r.batch_size))
+                .collect();
+            done.sort_unstable();
+            let (first, first_batch) = done[0];
+            let last = done[done.len() - 1].0;
+            (done.len() - first_batch) as f64 / (last - first).as_secs_f64()
+        })
+        .fold(0.0, f64::max)
 }
 
 /// Sweeps offered load over `multiples` of the calibrated capacity with
@@ -432,7 +456,11 @@ pub fn render_sweep(sweep: &ServingSweep) -> String {
 
 /// Warmup requests per overload server — enough worker-fed samples to
 /// calibrate the sched server's admission estimator before measuring.
-const OVERLOAD_WARMUPS: usize = 4;
+/// The estimator is an EWMA that moves 20% per sample, so after four
+/// samples the first — the slow, cold one — still carried half the
+/// weight and inflated the deadline derived from it; after sixteen it
+/// carries under 4%.
+const OVERLOAD_WARMUPS: usize = 16;
 
 /// Per-request deadline, as a multiple of the calibrated no-backlog
 /// completion estimate. Five estimates of queueing budget keeps the

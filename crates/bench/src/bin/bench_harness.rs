@@ -6,9 +6,12 @@
 //! ```
 //!
 //! Runs the tier-1 performance scenarios (see `eyeriss_bench`) and
-//! writes the versioned JSON baseline — `BENCH_7.json` by default, the
-//! committed baseline of this PR. `--quick` trims iteration counts for
-//! CI smoke jobs.
+//! writes the versioned JSON measurements to `--out` —
+//! `target/bench-harness.json` by default, so a bare run never
+//! overwrites a committed `BENCH_*.json` baseline. `--quick` trims
+//! iteration counts for CI smoke jobs. `--help` prints the usage; an
+//! unknown flag or a flag missing its value exits with code 2 before
+//! anything runs.
 //!
 //! `--check BASELINE.json` turns the harness into a regression gate: the
 //! fresh measurements are compared scenario-by-scenario against the
@@ -28,15 +31,71 @@
 
 use eyeriss_wire::Value;
 use std::io::Write;
+use std::path::Path;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "\
+usage: bench-harness [--quick] [--out PATH] [--check BASELINE.json]
+                     [--telemetry PATH] [--trace PATH] [--flight PATH]
+
+  --quick      trim iteration counts (CI smoke runs)
+  --out        write the measurements as JSON to PATH
+               (default: target/bench-harness.json)
+  --check      exit 1 if a scenario's best time regressed by more than
+               15% against the baseline JSON
+  --telemetry  run one observed serving burst; write its telemetry snapshot
+  --trace      run one observed serving burst; write its Chrome trace
+  --flight     run one burst against a breached SLO; write the flight
+               recorder dump to PATH and its Chrome view to PATH.trace.json
+  --help       print this message";
+
+/// Where the measurements go when `--out` is not given.
+const DEFAULT_OUT: &str = "target/bench-harness.json";
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    quick: bool,
+    out: Option<String>,
+    check: Option<String>,
+    telemetry: Option<String>,
+    trace: Option<String>,
+    flight: Option<String>,
+}
+
+/// Parses the arguments after the program name. `Ok(None)` means
+/// `--help`; `Err` names the offending argument.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
+    let mut parsed = Args::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let slot = match arg.as_str() {
+            "--help" => return Ok(None),
+            "--quick" => {
+                parsed.quick = true;
+                continue;
+            }
+            "--out" => &mut parsed.out,
+            "--check" => &mut parsed.check,
+            "--telemetry" => &mut parsed.telemetry,
+            "--trace" => &mut parsed.trace,
+            "--flight" => &mut parsed.flight,
+            _ => return Err(format!("unknown argument '{arg}'")),
+        };
+        match args.next() {
+            Some(value) if !value.starts_with("--") => *slot = Some(value),
+            _ => return Err(format!("{arg} needs a value")),
+        }
+    }
+    Ok(Some(parsed))
 }
 
 fn write_file(path: &str, contents: &str) {
+    if let Some(dir) = Path::new(path)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+    {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
     let mut file = std::fs::File::create(path).unwrap_or_else(|e| panic!("create {path}: {e}"));
     file.write_all(contents.as_bytes())
         .and_then(|()| file.write_all(b"\n"))
@@ -45,13 +104,26 @@ fn write_file(path: &str, contents: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_7.json".to_string());
-    let check_path = flag_value(&args, "--check");
-    let telemetry_path = flag_value(&args, "--telemetry");
-    let trace_path = flag_value(&args, "--trace");
-    let flight_path = flag_value(&args, "--flight");
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("bench-harness: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let Args {
+        quick,
+        out,
+        check: check_path,
+        telemetry: telemetry_path,
+        trace: trace_path,
+        flight: flight_path,
+    } = args;
+    let out_path = out.unwrap_or_else(|| DEFAULT_OUT.to_string());
     let mode = if quick { "quick" } else { "full" };
 
     eprintln!("running perf-regression harness ({mode} mode)...");
@@ -137,5 +209,33 @@ fn main() {
             comparisons.len(),
             eyeriss_bench::REGRESSION_TOLERANCE * 100.0
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let args = parse(&["--quick", "--out", "o.json", "--check", "BENCH_7.json"])
+            .unwrap()
+            .unwrap();
+        assert!(args.quick);
+        assert_eq!(args.out.as_deref(), Some("o.json"));
+        assert_eq!(args.check.as_deref(), Some("BENCH_7.json"));
+        assert_eq!(parse(&[]).unwrap(), Some(Args::default()));
+    }
+
+    #[test]
+    fn help_and_bad_input_never_run() {
+        assert_eq!(parse(&["--quick", "--help"]), Ok(None));
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--out"]).is_err(), "missing value");
+        assert!(parse(&["--out", "--quick"]).is_err(), "flag as value");
     }
 }

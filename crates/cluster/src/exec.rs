@@ -2,7 +2,7 @@
 //!
 //! Runs one partitioned layer across `M` independent
 //! [`eyeriss_sim::Accelerator`]s — one OS thread per array via
-//! `eyeriss-par` — then reassembles the per-tile psums into the full
+//! `eyeriss-par`, the calling thread being one of them — then reassembles the per-tile psums into the full
 //! ofmap **bit-exactly** and aggregates per-array statistics under the
 //! shared-DRAM contention model.
 
@@ -416,10 +416,10 @@ impl Cluster {
         let _exec_span = self
             .tele
             .span_with("cluster.execute", "cluster", work.len() as u64);
-        // Array work runs on pool threads, which do not inherit this
-        // thread's ambient trace context — capture it here and install
-        // it in each worker so `cluster.array` (and the `sim.*` spans
-        // beneath it) parent under `cluster.execute`.
+        // All but one array's work runs on spawned threads, which do
+        // not inherit this thread's ambient trace context — capture it
+        // here and install it in each worker so `cluster.array` (and
+        // the `sim.*` spans beneath it) parent under `cluster.execute`.
         let ctx = self.tele.current_context();
         let indexed: Vec<ArrayWork<'_, '_>> = work
             .iter()

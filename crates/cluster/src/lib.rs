@@ -14,7 +14,8 @@
 //!   partition is scored by composing the per-array mapping optimizer of
 //!   `eyeriss_dataflow::search` with a cluster cost model (additive
 //!   energy, critical-path delay, shared-DRAM transfer floor).
-//! * [`exec`] — the parallel executor: one thread per array, each running
+//! * [`exec`] — the parallel executor: one thread per array (the caller's
+//!   own thread among them), each running
 //!   its tiles on a private [`eyeriss_sim::Accelerator`], with the ofmap
 //!   reassembled **bit-exactly** against the single-array simulator.
 //! * [`contention`] — the shared-DRAM bandwidth model.

@@ -7,6 +7,12 @@
 //! is split into one contiguous chunk per worker — the workloads here
 //! (scoring mapping candidates, simulating per-array sub-problems) are
 //! uniform enough that static chunking is within noise of work stealing.
+//!
+//! The calling thread is one of the workers: a map over `n` workers
+//! spawns `n − 1` scoped threads and runs the remaining share itself
+//! instead of blocking in `join`. A serving worker that executes a
+//! two-array cluster layer therefore spawns one thread, not two, and
+//! simulates one array's tiles on its own stack.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,10 +29,11 @@ pub fn num_threads() -> usize {
 
 /// Maps `f` over `items` in parallel, preserving order.
 ///
-/// Spawns at most [`num_threads`] scoped threads, each owning one
-/// contiguous chunk. Falls back to a plain sequential map for a single
-/// item or a single hardware thread. Panics in `f` propagate to the
-/// caller (the scope joins all workers first).
+/// Uses at most [`num_threads`] workers, each owning one contiguous
+/// chunk: `workers − 1` scoped threads plus the calling thread, which
+/// maps the last chunk itself. Falls back to a plain sequential map for
+/// a single item or a single hardware thread. Panics in `f` propagate to
+/// the caller once every spawned thread has joined.
 ///
 /// # Example
 ///
@@ -57,6 +64,7 @@ where
         chunks.push(std::mem::replace(&mut rest, tail));
     }
     debug_assert!(rest.is_empty());
+    let last = chunks.pop().expect("workers >= 2");
 
     let f = &f;
     thread::scope(|scope| {
@@ -64,10 +72,14 @@ where
             .into_iter()
             .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
             .collect();
+        // A panic here unwinds out of the scope closure; `scope` joins
+        // the spawned threads before resuming it.
+        let tail: Vec<R> = last.into_iter().map(f).collect();
         let mut out = Vec::with_capacity(len);
         for handle in handles {
             out.extend(handle.join().expect("parallel worker panicked"));
         }
+        out.extend(tail);
         out
     })
 }
@@ -107,15 +119,18 @@ where
 }
 
 /// [`par_map_slice`] with per-worker state: `init` runs once on each
-/// worker thread and the resulting state is threaded through every item
-/// that worker processes.
+/// worker and the resulting state is threaded through every item that
+/// worker processes.
 ///
 /// This is the hook for persistent execution contexts — e.g. one
 /// simulator (with its scratch arena) per worker, reused across every
 /// sub-problem that worker claims, instead of a fresh allocation per
-/// item. Falls back to a sequential map (single state) for tiny inputs
-/// or single-threaded machines. Panics in `init` or `f` propagate to the
-/// caller.
+/// item. The calling thread is one of the workers and always processes
+/// the first chunk, so `init` runs at most [`num_threads`] times and a
+/// two-item map spawns a single thread. Falls back to a sequential map
+/// (single state) for tiny inputs or single-threaded machines. Panics
+/// in `init` or `f` propagate to the caller once every spawned thread
+/// has joined.
 ///
 /// # Example
 ///
@@ -147,31 +162,36 @@ where
 
     // More chunks than workers, claimed off a shared counter: a worker
     // that drew cheap items moves on to the next chunk instead of idling.
+    // Chunk 0 is reserved for the calling thread before anything is
+    // spawned, so the caller never waits on threads that raced it to
+    // every chunk.
     let chunks = (workers * CHUNKS_PER_WORKER).min(items.len());
     let chunk_len = items.len().div_ceil(chunks);
-    let next = AtomicUsize::new(0);
+    let next = AtomicUsize::new(1);
     let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(chunks));
 
     {
         let (next, done, init, f) = (&next, &done, &init, &f);
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || {
-                    let mut state = init();
-                    loop {
-                        let chunk = next.fetch_add(1, Ordering::Relaxed);
-                        let start = chunk * chunk_len;
-                        if start >= items.len() {
-                            break;
-                        }
-                        let part: Vec<R> = items[start..(start + chunk_len).min(items.len())]
-                            .iter()
-                            .map(|item| f(&mut state, item))
-                            .collect();
-                        done.lock().expect("worker panicked").push((chunk, part));
-                    }
-                });
+        let work = move |mut chunk: usize| {
+            let mut state = init();
+            loop {
+                let start = chunk * chunk_len;
+                if start >= items.len() {
+                    break;
+                }
+                let part: Vec<R> = items[start..(start + chunk_len).min(items.len())]
+                    .iter()
+                    .map(|item| f(&mut state, item))
+                    .collect();
+                done.lock().expect("worker panicked").push((chunk, part));
+                chunk = next.fetch_add(1, Ordering::Relaxed);
             }
+        };
+        thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(move || work(next.fetch_add(1, Ordering::Relaxed)));
+            }
+            work(0);
         });
     }
 
@@ -268,6 +288,57 @@ mod tests {
         );
         assert_eq!(out, (1..=4096).collect::<Vec<_>>());
         assert!(states.load(Ordering::Relaxed) <= num_threads().max(1));
+    }
+
+    #[test]
+    fn calling_thread_takes_a_share() {
+        // `stateful_map_reuses_worker_state` bounds the `init` calls.
+        let caller = thread::current().id();
+        let items: Vec<usize> = (0..64).collect();
+        let out = par_map_slice(&items, |&x| (x, thread::current().id()));
+        assert_eq!(out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), items);
+        assert!(
+            out.iter().any(|&(_, id)| id == caller),
+            "the caller maps at least one item itself"
+        );
+
+        let out = par_map((0..64usize).collect(), |x| (x, thread::current().id()));
+        assert_eq!(out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), items);
+        assert_eq!(out.last().map(|&(_, id)| id), Some(caller), "last chunk");
+    }
+
+    #[test]
+    fn caller_panic_propagates_after_spawned_threads_join() {
+        // Every worker state drops when its worker finishes, so equal
+        // counts after the unwind mean no spawned thread outlived it.
+        struct Alive<'a>(&'a AtomicUsize);
+        impl Drop for Alive<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let (created, dropped) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let items: Vec<u32> = (0..256).collect();
+        let result = std::panic::catch_unwind(|| {
+            par_map_slice_with(
+                &items,
+                || {
+                    created.fetch_add(1, Ordering::Relaxed);
+                    Alive(&dropped)
+                },
+                |_, &x| {
+                    // Item 0 is in chunk 0, which the caller maps.
+                    assert!(x != 0, "boom in the caller's share");
+                    thread::sleep(std::time::Duration::from_micros(50));
+                    x
+                },
+            )
+        });
+        assert!(result.is_err(), "the caller's panic propagates");
+        assert_eq!(
+            created.load(Ordering::Relaxed),
+            dropped.load(Ordering::Relaxed)
+        );
     }
 
     #[test]

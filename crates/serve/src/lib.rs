@@ -14,9 +14,10 @@
 //!   immutable [`ClusterPlan`](eyeriss_cluster::ClusterPlan) in a
 //!   content-keyed [`PlanCache`], so repeated shapes (VGG's stacked 3×3
 //!   layers) and repeated requests never re-search.
-//! * [`batch`] — the **dynamic batcher**: coalesces compatible queued
-//!   requests up to a batch-size/deadline bound into one cluster
-//!   execution.
+//! * [`batch`] — the **dynamic batcher**: coalesces queued requests
+//!   into one cluster execution, sealing a batch when it is full or
+//!   when a worker is free to run it, so batches fill under load and an
+//!   idle worker never waits for company.
 //! * [`runtime`] — the **scheduler**: an MPSC submission queue with
 //!   backpressure feeding a pool of workers, each executing batches on a
 //!   private multi-array [`Cluster`](eyeriss_cluster::Cluster) from
@@ -65,16 +66,26 @@
 //! let shape = net.stages()[0].shape;
 //! let golden = net.clone();
 //!
-//! let mut cfg = ServeConfig::new();
-//! cfg.policy = BatchPolicy { max_batch: 4, max_wait: Duration::from_millis(5) };
-//! let server = Server::start(net, cfg);
-//!
+//! // The default policy never holds a request back while a worker is
+//! // idle (`max_wait` is zero); under load, batches fill up to
+//! // `max_batch` on their own.
+//! let server = Server::start(net.clone(), ServeConfig::new());
 //! let input = synth::ifmap(&shape, 1, 42);
 //! let response = server.submit(input.clone())?.wait()?;
 //! assert_eq!(response.output, golden.forward(1, &input)); // bit-exact
+//! assert_eq!(server.shutdown().completed(), 1);
 //!
-//! let stats = server.shutdown();
-//! assert_eq!(stats.completed(), 1);
+//! // A coalescing wait trades latency for the batch energy
+//! // amortization of Section VII-B at low load: two requests submitted
+//! // together share one execution.
+//! let mut cfg = ServeConfig::new();
+//! cfg.policy = BatchPolicy { max_batch: 2, max_wait: Duration::from_secs(5) };
+//! let server = Server::start(net, cfg);
+//! let handles = [server.submit(input.clone())?, server.submit(input)?];
+//! for handle in handles {
+//!     assert_eq!(handle.wait()?.batch_size, 2);
+//! }
+//! assert_eq!(server.shutdown().completed(), 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

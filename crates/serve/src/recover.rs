@@ -21,7 +21,9 @@
 //! a transient fault must put the batch *back* without deadlocking —
 //! [`BatchQueue::requeue`] is front-of-queue and never blocks, even at
 //! capacity (re-queued work was already admitted once; refusing it
-//! would drop accepted requests).
+//! would drop accepted requests). It also counts the consumers parked
+//! in [`BatchQueue::pop`], so the batcher can seal a batch at the
+//! moment a worker is free to take it ([`BatchQueue::wait_idle`]).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -67,6 +69,15 @@ impl Default for RecoveryPolicy {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers blocked in `pop` right now.
+    parked: usize,
+}
+
+impl<T> QueueState<T> {
+    /// True when some parked consumer has no queued item coming to it.
+    fn idle(&self) -> bool {
+        self.parked > self.items.len()
+    }
 }
 
 /// A bounded MPMC queue of dispatched batches with three operations a
@@ -74,9 +85,11 @@ struct QueueState<T> {
 /// (backpressure toward the batcher), non-blocking front-of-queue
 /// [`requeue`](Self::requeue) (retry without deadlock), and blocking
 /// [`pop`](Self::pop) that drains remaining items after
-/// [`close`](Self::close) before reporting shutdown. All internal locks
-/// recover from poisoning: the queue state is a plain `VecDeque`, valid
-/// whatever a panicking thread was doing around it.
+/// [`close`](Self::close) before reporting shutdown. Producers can also
+/// block until a consumer is idle ([`wait_idle`](Self::wait_idle)). All
+/// internal locks recover from poisoning: the queue state is a plain
+/// `VecDeque` and a parked-consumer count, valid whatever a panicking
+/// thread was doing around it.
 pub struct BatchQueue<T> {
     state: Mutex<QueueState<T>>,
     capacity: usize,
@@ -84,6 +97,9 @@ pub struct BatchQueue<T> {
     available: Condvar,
     /// Signalled when an item leaves (wakes bounded `push`).
     space: Condvar,
+    /// Signalled when a consumer parks in `pop` or the queue closes
+    /// (wakes `wait_idle`).
+    idle: Condvar,
 }
 
 impl<T> BatchQueue<T> {
@@ -93,10 +109,12 @@ impl<T> BatchQueue<T> {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
+                parked: 0,
             }),
             capacity: capacity.max(1),
             available: Condvar::new(),
             space: Condvar::new(),
+            idle: Condvar::new(),
         }
     }
 
@@ -149,11 +167,29 @@ impl<T> BatchQueue<T> {
             if state.closed {
                 return None;
             }
+            state.parked += 1;
+            self.idle.notify_all();
             state = self
                 .available
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
         }
+    }
+
+    /// Blocks until a consumer is parked in [`pop`](Self::pop) with no
+    /// queued item to take — a worker that would start the next pushed
+    /// item at once — or until the queue closes. Returns `false` when
+    /// it returned because the queue closed.
+    pub fn wait_idle(&self) -> bool {
+        let mut state = self.lock();
+        while !state.idle() && !state.closed {
+            state = self
+                .idle
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        !state.closed
     }
 
     /// Closes the queue: pushes fail, pops drain the backlog then
@@ -162,6 +198,7 @@ impl<T> BatchQueue<T> {
         self.lock().closed = true;
         self.available.notify_all();
         self.space.notify_all();
+        self.idle.notify_all();
     }
 
     /// Number of queued items right now.
@@ -241,6 +278,40 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.push(7).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(7));
+    }
+
+    #[test]
+    fn wait_idle_blocks_until_a_consumer_parks() {
+        let q = Arc::new(BatchQueue::<u32>::new(4));
+        let waiter = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.wait_idle())
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "no consumer yet: still waiting");
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop())
+        };
+        assert!(waiter.join().unwrap(), "a parked consumer is idle");
+        // A requeued batch satisfies the parked consumer, which is then
+        // no longer idle.
+        assert!(q.wait_idle());
+        q.requeue(5);
+        assert_eq!(consumer.join().unwrap(), Some(5));
+        assert!(!q.lock().idle());
+    }
+
+    #[test]
+    fn wait_idle_returns_on_close() {
+        let q = Arc::new(BatchQueue::<u32>::new(4));
+        let waiter = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.wait_idle())
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        assert!(!waiter.join().unwrap(), "closed, not idle");
     }
 
     #[test]

@@ -3,10 +3,20 @@
 //!
 //! ```text
 //!  submit()──►[bounded MPSC queue]──►batcher──►[BatchQueue]─┬─►worker 0 (Cluster of A arrays)
-//!   blocks when full (backpressure)   coalesces up to       ├─►worker 1 (Cluster of A arrays)
-//!                                     max_batch / max_wait  └─►worker W-1      │
-//!                                                                     supervisor restarts the dead
+//!   blocks when full (backpressure)   seals at   ▲          ├─►worker 1 (Cluster of A arrays)
+//!                                     max_batch, │          └─►worker W-1      │
+//!                                     or at      └─ idle worker parked in pop  │
+//!                                     max_wait + idle worker     supervisor restarts the dead
 //! ```
+//!
+//! Batches form when a worker is free to run them: the batcher holds a
+//! partial batch open, absorbing arrivals, until a worker parks in
+//! [`BatchQueue::pop`] ([`BatchQueue::wait_idle`]). With the default
+//! zero `max_wait` an idle worker takes whatever is queued at once; a
+//! busy pool lets batches fill. `serve.form_ns` (oldest arrival → batch
+//! sealed) and `serve.pickup_ns` (sealed → worker start) split a
+//! batch's queue wait into waiting for company and waiting for a
+//! worker.
 //!
 //! With a [`SchedConfig`] the FIFO front-end is replaced by the
 //! scheduling layer ([`crate::sched`]) — per-tenant admission control
@@ -20,8 +30,9 @@
 //! ```
 //!
 //! Each worker owns a private [`eyeriss_cluster::Cluster`] — array-level
-//! parallelism inside a batch flows through `eyeriss-par`'s
-//! thread-per-array executor — and executes batches from precompiled
+//! parallelism inside a batch flows through `eyeriss-par`, which runs
+//! one array's share on the worker thread itself and spawns a thread
+//! for each other array — and executes batches from precompiled
 //! plans fetched from the shared [`crate::PlanCache`]. Every completed
 //! request carries a queue/compile/execute latency breakdown; the
 //! server aggregates p50/p99 and throughput in [`ServerStats`].
@@ -246,6 +257,8 @@ struct ServeTele {
     worker_restarts: Counter,
     failed: Counter,
     queue_ns: Histogram,
+    form_ns: Histogram,
+    pickup_ns: Histogram,
     compile_ns: Histogram,
     execute_ns: Histogram,
     total_ns: Histogram,
@@ -266,6 +279,8 @@ impl ServeTele {
             worker_restarts: tele.counter("serve.worker_restarts"),
             failed: tele.counter("serve.failed"),
             queue_ns: tele.histogram("serve.queue_ns"),
+            form_ns: tele.histogram("serve.form_ns"),
+            pickup_ns: tele.histogram("serve.pickup_ns"),
             compile_ns: tele.histogram("serve.compile_ns"),
             execute_ns: tele.histogram("serve.execute_ns"),
             total_ns: tele.histogram("serve.total_ns"),
@@ -327,6 +342,34 @@ impl Drop for Pending {
         if self.tx.is_some() {
             self.fail(ServeError::WorkerLost);
         }
+    }
+}
+
+/// A batch on its way from the batcher (or a retry) to a worker.
+struct Sealed {
+    batch: Vec<Pending>,
+    /// When the batch was sealed or requeued: `serve.pickup_ns` runs
+    /// from here to worker start.
+    at: Instant,
+}
+
+impl Sealed {
+    /// Seals `batch` now.
+    fn now(batch: Vec<Pending>) -> Sealed {
+        Sealed {
+            batch,
+            at: Instant::now(),
+        }
+    }
+
+    /// Seals a freshly formed batch, recording `serve.form_ns` from its
+    /// oldest request's arrival.
+    fn formed(batch: Vec<Pending>, form_ns: &Histogram) -> Sealed {
+        let sealed = Sealed::now(batch);
+        if let Some(oldest) = sealed.batch.iter().map(|p| p.submitted).min() {
+            form_ns.record_duration(sealed.at.duration_since(oldest));
+        }
+        sealed
     }
 }
 
@@ -465,7 +508,7 @@ enum WorkerExit {
 /// Everything a worker (and the supervisor respawning workers) needs,
 /// shared once behind an `Arc`.
 struct WorkerShared {
-    queue: Arc<BatchQueue<Vec<Pending>>>,
+    queue: Arc<BatchQueue<Sealed>>,
     net: Arc<Network>,
     plans: Arc<NetPlans>,
     records: Arc<Mutex<Vec<RequestRecord>>>,
@@ -596,19 +639,24 @@ impl Server {
         // (FIFO) or onto the admission estimate (sched). Workers put
         // transiently-faulted batches *back* via its unbounded
         // front-of-queue requeue — the operation a plain channel lacks.
-        let queue = Arc::new(BatchQueue::<Vec<Pending>>::new(cfg.workers));
+        // Its `wait_idle` is what lets the batchers hold a partial batch
+        // open until a worker is parked and ready to start it.
+        let queue = Arc::new(BatchQueue::<Sealed>::new(cfg.workers));
 
         let policy = cfg.policy;
         let (front, batcher) = match cfg.sched.clone() {
             None => {
                 let (submit_tx, submit_rx) =
                     mpsc::sync_channel::<Pending>(cfg.queue_capacity.max(1));
-                let queue_depth = metrics.queue_depth.clone();
+                let metrics = metrics.clone();
                 let queue = Arc::clone(&queue);
                 let batcher = std::thread::spawn(move || {
-                    while let Some(batch) = collect_batch(&submit_rx, &policy) {
-                        queue_depth.add(-(batch.len() as i64));
-                        if queue.push(batch).is_err() {
+                    let wait_idle = || {
+                        queue.wait_idle();
+                    };
+                    while let Some(batch) = collect_batch(&submit_rx, &policy, wait_idle) {
+                        metrics.queue_depth.add(-(batch.len() as i64));
+                        if queue.push(Sealed::formed(batch, &metrics.form_ns)).is_err() {
                             break; // the pool is gone
                         }
                     }
@@ -643,7 +691,10 @@ impl Server {
                     let queue = Arc::clone(&queue);
                     std::thread::spawn(move || {
                         let now = || tele.since_epoch(Instant::now());
-                        while let Some(drained) = shared.queue.next_batch(&policy, now) {
+                        let wait_idle = || {
+                            queue.wait_idle();
+                        };
+                        while let Some(drained) = shared.queue.next_batch(&policy, now, wait_idle) {
                             for mut pending in drained.expired {
                                 metrics.queue_depth.dec();
                                 metrics.expired.inc();
@@ -656,7 +707,10 @@ impl Server {
                                 continue;
                             }
                             metrics.queue_depth.add(-(drained.batch.len() as i64));
-                            if queue.push(drained.batch).is_err() {
+                            if queue
+                                .push(Sealed::formed(drained.batch, &metrics.form_ns))
+                                .is_err()
+                            {
                                 break; // the pool is gone
                             }
                         }
@@ -1129,7 +1183,7 @@ fn worker_loop(
     cluster: &Cluster,
     mut pool_chip: Accelerator,
 ) -> WorkerExit {
-    while let Some(batch) = shared.queue.pop() {
+    while let Some(Sealed { batch, at }) = shared.queue.pop() {
         let Some(batch) = recheck_deadlines(shared, batch) else {
             continue;
         };
@@ -1137,7 +1191,7 @@ fn worker_loop(
             if shared.faults.as_ref().is_some_and(|f| f.poll_worker(idx)) {
                 panic!("injected worker panic (chaos)");
             }
-            execute_batch(shared, cluster, &mut pool_chip, batch)
+            execute_batch(shared, cluster, &mut pool_chip, batch, at)
         }));
         match outcome {
             // The closure owned the batch, so it dropped during the
@@ -1187,12 +1241,14 @@ fn recheck_deadlines(shared: &WorkerShared, batch: Vec<Pending>) -> Option<Vec<P
 
 /// Executes one batch end to end and delivers the responses. A typed
 /// execution error hands the batch back to the caller for retry /
-/// quarantine handling instead of consuming it.
+/// quarantine handling instead of consuming it. `sealed` is when the
+/// batch was sealed (or requeued), for `serve.pickup_ns`.
 fn execute_batch(
     shared: &WorkerShared,
     cluster: &Cluster,
     pool_chip: &mut Accelerator,
     batch: Vec<Pending>,
+    sealed: Instant,
 ) -> Result<(), (Vec<Pending>, ServeError)> {
     let metrics = &shared.metrics;
     let tele = &shared.tele;
@@ -1206,6 +1262,9 @@ fn execute_batch(
         // queue wait links into the batch span as a flow arrow, so
         // multi-trace batches stay attributable.
         let dispatch = Instant::now();
+        metrics
+            .pickup_ns
+            .record_duration(dispatch.saturating_duration_since(sealed));
         let batch_trace = batch.first().map_or(0, |p| p.trace.trace);
         let _root = tele.in_context(TraceContext {
             trace: batch_trace,
@@ -1316,7 +1375,7 @@ fn handle_failure(
             // the pool and retire. The requeue bypasses the retry
             // budget — another worker's healthy cluster may complete it
             // first try.
-            shared.queue.requeue(batch);
+            shared.queue.requeue(Sealed::now(batch));
             shared.metrics.live_workers.dec();
             if let Some(sched) = &shared.sched {
                 let live = shared.metrics.live_workers.get().max(1) as usize;
@@ -1332,7 +1391,7 @@ fn handle_failure(
         }
         shared.metrics.retries.add(batch.len() as u64);
         std::thread::sleep(shared.recovery.backoff_for(attempt));
-        shared.queue.requeue(batch);
+        shared.queue.requeue(Sealed::now(batch));
     } else {
         for mut pending in batch {
             pending.fail(err.clone());

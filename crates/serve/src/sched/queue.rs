@@ -321,10 +321,18 @@ impl<T> ReadyQueue<T> {
     /// Blocks for the next batch under `policy`, stamping pops with
     /// `now()` (epoch nanoseconds). Mirrors
     /// [`collect_batch`](crate::batch::collect_batch): waits for the
-    /// first entry, then drains until the batch is full or `max_wait`
-    /// elapses. Entries that expired in queue are split out and do not
-    /// count toward the batch. Returns `None` once closed *and* empty.
-    pub fn next_batch(&self, policy: &BatchPolicy, now: impl Fn() -> u64) -> Option<Drained<T>> {
+    /// first entry, then drains until the batch is full, or until
+    /// `max_wait` has passed and `wait_idle` (which blocks until a
+    /// worker is free) has returned. Entries queued while it waits stay
+    /// ranked here and join the batch when it seals. Entries that
+    /// expired in queue are split out and do not count toward the
+    /// batch. Returns `None` once closed *and* empty.
+    pub fn next_batch(
+        &self,
+        policy: &BatchPolicy,
+        now: impl Fn() -> u64,
+        mut wait_idle: impl FnMut(),
+    ) -> Option<Drained<T>> {
         let max_batch = policy.max_batch.max(1);
         let mut inner = self.inner.lock().expect("ready queue poisoned");
         loop {
@@ -337,6 +345,7 @@ impl<T> ReadyQueue<T> {
             let deadline = Instant::now() + policy.max_wait;
             let mut batch = Vec::new();
             let mut expired = Vec::new();
+            let mut waited = false;
             loop {
                 while batch.len() < max_batch {
                     match self.pop_locked(&mut inner, now()) {
@@ -345,20 +354,25 @@ impl<T> ReadyQueue<T> {
                         None => break,
                     }
                 }
-                if batch.len() >= max_batch || inner.closed {
+                // Only-expired drains return at once: their clients
+                // should hear the rejection without waiting on a worker.
+                if batch.len() >= max_batch || inner.closed || waited || batch.is_empty() {
                     break;
                 }
                 let remaining = deadline.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
-                    break;
-                }
-                let (guard, timeout) = self
-                    .available
-                    .wait_timeout(inner, remaining)
-                    .expect("ready queue poisoned");
-                inner = guard;
-                if timeout.timed_out() && inner.len == 0 {
-                    break;
+                    // Hold the batch open, unlocked so submitters can
+                    // still push, until a worker can start it.
+                    drop(inner);
+                    wait_idle();
+                    inner = self.inner.lock().expect("ready queue poisoned");
+                    waited = true;
+                } else {
+                    inner = self
+                        .available
+                        .wait_timeout(inner, remaining)
+                        .expect("ready queue poisoned")
+                        .0;
                 }
             }
             if !batch.is_empty() || !expired.is_empty() {
@@ -469,9 +483,31 @@ mod tests {
             max_batch: 4,
             max_wait: Duration::ZERO,
         };
-        let drained = q.next_batch(&policy, || 100).unwrap();
+        let drained = q.next_batch(&policy, || 100, || {}).unwrap();
         assert_eq!(drained.expired, vec![1], "deadline 50 expired at t=100");
         assert_eq!(drained.batch, vec![2]);
+    }
+
+    #[test]
+    fn zero_wait_batch_absorbs_arrivals_while_no_worker_is_idle() {
+        let q = queue(16);
+        q.push(0, 0, 1.0, 1, None, 0).unwrap();
+        let policy = BatchPolicy {
+            max_batch: 4,
+            max_wait: Duration::ZERO,
+        };
+        // Arrivals while every worker is busy join the open batch, up to
+        // `max_batch`; the rest wait for the next one.
+        let busy = || {
+            for i in 1..6u64 {
+                q.push(i, 0, 1.0, 1, None, 0).unwrap();
+            }
+        };
+        let drained = q.next_batch(&policy, || 0, busy).unwrap();
+        assert_eq!(drained.batch, vec![0, 1, 2, 3]);
+        let drained = q.next_batch(&policy, || 0, || {}).unwrap();
+        assert_eq!(drained.batch, vec![4, 5]);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -485,7 +521,7 @@ mod tests {
             let q = std::sync::Arc::clone(&q);
             std::thread::spawn(move || {
                 let mut seen = Vec::new();
-                while let Some(d) = q.next_batch(&policy, || 0) {
+                while let Some(d) = q.next_batch(&policy, || 0, || {}) {
                     seen.extend(d.batch);
                 }
                 seen
