@@ -81,6 +81,9 @@ pub struct Cluster {
     /// Pre-resolved handles so the execution hot path never takes the
     /// registry lock.
     contention_stalls: Counter,
+    /// Planned tiles that ran through the chip's own RS search instead
+    /// of their plan's mapping (`cluster.mapping_fallbacks`).
+    mapping_fallbacks: Counter,
     reassemble_ns: Histogram,
     /// Shared array health: strikes and quarantine. Execution runs on
     /// the healthy subset only; an `Arc` lets a serving supervisor keep
@@ -110,6 +113,7 @@ impl Cluster {
         assert!(arrays > 0, "cluster needs at least one array");
         let tele = Telemetry::global().clone();
         let contention_stalls = tele.counter("cluster.contention_stalls");
+        let mapping_fallbacks = tele.counter("cluster.mapping_fallbacks");
         let reassemble_ns = tele.histogram("cluster.reassemble_ns");
         let faults_detected = tele.counter("sim.faults_detected");
         let quarantined_gauge = tele.gauge("cluster.quarantined_arrays");
@@ -122,6 +126,7 @@ impl Cluster {
             ctx_pool: Arc::new(Mutex::new(Vec::new())),
             tele,
             contention_stalls,
+            mapping_fallbacks,
             reassemble_ns,
             health: Arc::new(ClusterHealth::new(arrays)),
             faults: None,
@@ -135,11 +140,13 @@ impl Cluster {
     /// Routes this cluster's spans (`cluster.execute`, per-array
     /// `cluster.array`, `cluster.reassemble` — idle time is the gap
     /// between consecutive array spans) and metrics
-    /// (`cluster.contention_stalls`, `cluster.reassemble_ns`) to `tele`
-    /// instead of the global instance. Pooled execution contexts are
-    /// rebuilt so per-array `sim.*` spans land in the same instance.
+    /// (`cluster.contention_stalls`, `cluster.mapping_fallbacks`,
+    /// `cluster.reassemble_ns`) to `tele` instead of the global instance.
+    /// Pooled execution contexts are rebuilt so per-array `sim.*` spans
+    /// land in the same instance.
     pub fn with_telemetry(mut self, tele: Telemetry) -> Self {
         self.contention_stalls = tele.counter("cluster.contention_stalls");
+        self.mapping_fallbacks = tele.counter("cluster.mapping_fallbacks");
         self.reassemble_ns = tele.histogram("cluster.reassemble_ns");
         self.faults_detected = tele.counter("sim.faults_detected");
         self.quarantined_gauge = tele.gauge("cluster.quarantined_arrays");
@@ -305,7 +312,7 @@ impl Cluster {
             .map(|s| s.tiles.iter().map(|t| (t, None)).collect())
             .collect();
         self.execute_work(
-            partition, shape, n_batch, &work, &healthy, input, weights, bias,
+            partition, shape, n_batch, &work, false, &healthy, input, weights, bias,
         )
     }
 
@@ -353,7 +360,8 @@ impl Cluster {
         // dataflow's space, or compiled against a physically larger grid
         // (pre-filtered here) or larger scratchpad/buffer capacities
         // (caught at execution), fall back to this cluster's own
-        // row-stationary search.
+        // row-stationary search; each such tile counts one
+        // `cluster.mapping_fallbacks`.
         let work: Vec<Vec<(&Tile, Option<RsMapping>)>> = plan
             .per_array
             .iter()
@@ -373,6 +381,7 @@ impl Cluster {
             &problem.shape,
             problem.batch,
             &work,
+            true,
             &healthy,
             input,
             weights,
@@ -398,6 +407,10 @@ impl Cluster {
     /// the `i`-th tile list runs as array `healthy[i]`, so fault
     /// injection, strikes and quarantine stay attached to physical
     /// arrays while work is laid out over the surviving subset.
+    ///
+    /// `planned` marks `work` as a plan's tiles: each one that does not
+    /// run its planned mapping (none lowered, or the run failed) counts
+    /// one `cluster.mapping_fallbacks`.
     #[allow(clippy::too_many_arguments)]
     fn execute_work(
         &self,
@@ -405,6 +418,7 @@ impl Cluster {
         shape: &LayerShape,
         n_batch: usize,
         work: &[Vec<(&Tile, Option<RsMapping>)>],
+        planned: bool,
         healthy: &[usize],
         input: &Tensor4<Fix16>,
         weights: &Tensor4<Fix16>,
@@ -491,7 +505,7 @@ impl Cluster {
                         // back to the local search, matching the
                         // pre-planned-execution behavior for foreign
                         // plans instead of failing the request.
-                        let planned = mapping.and_then(|m| {
+                        let planned_run = mapping.and_then(|m| {
                             acc.run_conv_planned(
                                 m,
                                 &tile.shape,
@@ -502,9 +516,12 @@ impl Cluster {
                             )
                             .ok()
                         });
-                        let mut run = match planned {
+                        let mut run = match planned_run {
                             Some(run) => run,
                             None => {
+                                if planned {
+                                    self.mapping_fallbacks.inc();
+                                }
                                 acc.run_conv(&tile.shape, tile.n, &t_input, &t_weights, t_bias)?
                             }
                         };
@@ -999,6 +1016,68 @@ mod tests {
             run.stats.per_array, unplanned.stats.per_array,
             "fallback did not take the local-search path"
         );
+    }
+
+    #[test]
+    fn mapping_fallbacks_count_planned_tiles_that_leave_their_plan() {
+        use crate::plan::plan_layer;
+        use eyeriss_arch::cost::TableIv;
+        use eyeriss_dataflow::flex::FlexRsModel;
+        use eyeriss_dataflow::registry::builtin;
+        use eyeriss_dataflow::search::Objective;
+        use eyeriss_dataflow::{Dataflow, DataflowKind};
+
+        let shape = LayerShape::conv(8, 3, 13, 3, 2).unwrap();
+        let problem = LayerProblem::new(shape, 4);
+        let hw = AcceleratorConfig::eyeriss_chip();
+        let input = synth::ifmap(&shape, 4, 1);
+        let weights = synth::filters(&shape, 2);
+        let bias = synth::biases(&shape, 3);
+        let golden = reference::conv_accumulate(&shape, 4, &input, &weights, &bias);
+        let plan = |df: &dyn Dataflow| {
+            plan_layer(
+                df,
+                &problem,
+                2,
+                &hw,
+                &TableIv,
+                &SharedDram::scaled(2),
+                Objective::Energy,
+            )
+            .unwrap()
+        };
+        // A fresh telemetry instance per cluster: the counter reads only
+        // that cluster's executions.
+        let cluster = || {
+            let tele = Telemetry::new_enabled();
+            let fallbacks = tele.counter("cluster.mapping_fallbacks");
+            (Cluster::new(2, hw).with_telemetry(tele), fallbacks)
+        };
+
+        // flex-rs params do not lower to an RS schedule: every tile of
+        // the served plan runs the chip's own search, and counts.
+        let flex = plan(&FlexRsModel);
+        let tiles: usize = flex.per_array.iter().map(|a| a.tiles.len()).sum();
+        assert!(tiles >= 2);
+        let (c, fallbacks) = cluster();
+        let run = c.execute(&flex, &problem, &input, &weights, &bias).unwrap();
+        assert_eq!(run.psums, golden);
+        assert_eq!(fallbacks.get(), tiles as u64, "one fallback per flex tile");
+
+        // An RS plan executes its own mappings: no fallback.
+        let rs = plan(builtin(DataflowKind::RowStationary));
+        let (c, fallbacks) = cluster();
+        let run = c.execute(&rs, &problem, &input, &weights, &bias).unwrap();
+        assert_eq!(run.psums, golden);
+        assert_eq!(fallbacks.get(), 0, "RS plans run as planned");
+
+        // Unplanned execution searches by design; nothing falls back.
+        let (c, fallbacks) = cluster();
+        let run = c
+            .execute_partition(flex.partition, &problem, &input, &weights, &bias)
+            .unwrap();
+        assert_eq!(run.psums, golden);
+        assert_eq!(fallbacks.get(), 0, "unplanned runs are not fallbacks");
     }
 
     #[test]

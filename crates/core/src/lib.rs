@@ -154,6 +154,23 @@ pub use eyeriss_nn::{LayerProblem, Workload};
 /// engine's cost registry; plans priced under distinct fingerprints
 /// never cross-hit the cache, even when they share a label.
 ///
+/// ## `Dataflow::enumerate` → a streaming visitor (this release)
+///
+/// The optimizer no longer collects a dataflow's space: it streams it,
+/// shard by shard, scoring candidates as they arrive (see
+/// [`eyeriss_dataflow::search`]). Third-party dataflows move their
+/// enumeration loop into the new required method:
+///
+/// | Old | New |
+/// |---|---|
+/// | `fn enumerate(&self, p, hw) -> Vec<MappingCandidate>` (required) | `fn visit(&self, p, hw, shard: usize, sink: &mut dyn FnMut(MappingCandidate))` (required): call `sink(c)` where the old loop called `out.push(c)` |
+/// | one undivided space | optional `fn shards(&self, p, hw) -> usize` (default 1): one shard per value of an outer loop lets the optimizer scan them on several cores; the shards in order must be the old enumeration order |
+/// | `df.enumerate(p, hw)` | unchanged: now a provided method collecting every shard in order |
+/// | `df.model(params, p, hw)` | unchanged: the default now streams to the match instead of collecting the space |
+/// | `RowStationaryModel::mappings(&shape, n, &hw)` and the other builtins' `mappings` | `df.enumerate(&LayerProblem::new(shape, n), &hw)` |
+///
+/// Search results are bit-identical to the collecting scan.
+///
 /// Two older semantic changes to be aware of:
 ///
 /// 1. **Batch size lives in [`LayerProblem`].** Every search/plan/run

@@ -28,7 +28,8 @@
 //!
 //! Each gang owns `cpg = n_clusters/rep` clusters, modeled as a logical
 //! `cr x (cc·cpg)` sub-array with a `1/rep` slice of the global buffer, and
-//! runs the classic [`RowStationaryModel`] tiling on the *per-group* layer
+//! runs the classic [`RowStationaryModel`](crate::rs::RowStationaryModel)
+//! tiling on the *per-group* layer
 //! shape. The whole-layer profile is the per-gang, per-group profile scaled
 //! by `G` (total work is exact), with array-level hops inflated by
 //! [`mesh_routing_factor`] to charge words that cross router-cluster
@@ -41,6 +42,20 @@
 //! single-cluster knob then reproduces the RS space exactly (mesh factor
 //! 1), so `flex-rs` never loses to RS where RS is already optimal.
 //!
+//! # Enumeration: shards and gang geometries
+//!
+//! The space streams as one [shard](Dataflow::shards) per cluster-row
+//! divisor `cr`, in knob order `cr → cc → rep → idx`, so the optimizer
+//! scans different `cr` values on different cores. A gang's *geometry*
+//! — its `cr x (cc·cpg)` sub-array and `1/rep` buffer slice — depends on
+//! `cr` and `rep` only, since `cc·cpg = (rows/cr)·cols/rep`; `cc` only
+//! changes the mesh factor. A shard therefore runs the per-gang RS
+//! enumeration once per `(cr, rep)` geometry and derives every `cc`
+//! variant from it by rescaling the array hops. Every variant is still
+//! streamed (and scored), so the space and its order are unchanged; the
+//! saving is the repeated RS enumeration, up to 4x on a dense layer of
+//! the 12x14 chip.
+//!
 //! `flex-rs` is deliberately *not* in [`crate::DataflowKind`]: it registers
 //! through [`crate::DataflowRegistry`] like any third-party space, which is
 //! the proof that the optimizer, cluster planner and serving compiler need
@@ -50,7 +65,6 @@ use crate::candidate::{MappingCandidate, MappingParams};
 use crate::dataflow::Dataflow;
 use crate::id::DataflowId;
 use crate::kind::DataflowKind;
-use crate::rs::RowStationaryModel;
 use eyeriss_arch::config::{AcceleratorConfig, GridDims};
 use eyeriss_nn::LayerProblem;
 
@@ -111,52 +125,74 @@ impl Dataflow for FlexRsModel {
         DataflowKind::RowStationary.rf_bytes()
     }
 
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
+    /// One shard per cluster-row divisor `cr`, the outer loop of the
+    /// space.
+    fn shards(&self, _problem: &LayerProblem, hw: &AcceleratorConfig) -> usize {
+        divisors(hw.grid.rows).len()
+    }
+
+    fn visit(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        shard: usize,
+        sink: &mut dyn FnMut(MappingCandidate),
+    ) {
         let g = problem.shape.groups.max(1);
         let per_group = problem.shape.per_group();
         let (rows, cols) = (hw.grid.rows, hw.grid.cols);
-        let rs = RowStationaryModel;
-        let mut out = Vec::new();
-        for &cr in &divisors(rows) {
-            for &cc in &divisors(cols) {
-                let n_clusters = (rows / cr) * (cols / cc);
-                for &rep in &divisors(n_clusters) {
-                    if !g.is_multiple_of(rep) {
-                        continue;
-                    }
-                    let cpg = n_clusters / rep;
-                    let gang_hw = AcceleratorConfig {
-                        grid: GridDims::new(cr, cc * cpg),
-                        rf_bytes_per_pe: hw.rf_bytes_per_pe,
-                        buffer_bytes: hw.buffer_bytes / rep as f64,
-                    };
-                    let mesh = mesh_routing_factor(cr, cc, cpg);
-                    for (idx, mut cand) in rs
-                        .mappings(&per_group, problem.batch, &gang_hw)
-                        .into_iter()
-                        .enumerate()
-                    {
-                        cand.profile.scale(g as f64);
-                        cand.profile.ifmap.array_hops *= mesh;
-                        cand.profile.filter.array_hops *= mesh;
-                        cand.profile.psum.array_hops *= mesh;
-                        cand.active_pes *= rep;
-                        cand.params = MappingParams::Custom {
-                            id: FLEX_RS,
-                            knobs: [cr, cc, rep, idx],
+        let cr = divisors(rows)[shard];
+        // A gang's geometry (sub-array shape and buffer slice) depends on
+        // `cr` and `rep` only, so each geometry's RS space is enumerated
+        // once, on first use, and every `cc` variant is derived from it.
+        let mut geometries: Vec<(usize, Vec<MappingCandidate>)> = Vec::new();
+        for &cc in &divisors(cols) {
+            let n_clusters = (rows / cr) * (cols / cc);
+            for &rep in &divisors(n_clusters) {
+                if !g.is_multiple_of(rep) {
+                    continue;
+                }
+                let cpg = n_clusters / rep;
+                let slot = match geometries.iter().position(|(r, _)| *r == rep) {
+                    Some(slot) => slot,
+                    None => {
+                        // `cc · cpg = (rows/cr) · cols / rep` for every `cc`.
+                        let gang_hw = AcceleratorConfig {
+                            grid: GridDims::new(cr, (rows / cr) * cols / rep),
+                            rf_bytes_per_pe: hw.rf_bytes_per_pe,
+                            buffer_bytes: hw.buffer_bytes / rep as f64,
                         };
-                        out.push(cand);
+                        let mut gang = Vec::new();
+                        crate::rs::visit_all(&per_group, problem.batch, &gang_hw, &mut |mut c| {
+                            c.profile.scale(g as f64);
+                            gang.push(c);
+                        });
+                        geometries.push((rep, gang));
+                        geometries.len() - 1
                     }
+                };
+                let mesh = mesh_routing_factor(cr, cc, cpg);
+                for (idx, base) in geometries[slot].1.iter().enumerate() {
+                    let mut cand = base.clone();
+                    cand.profile.ifmap.array_hops *= mesh;
+                    cand.profile.filter.array_hops *= mesh;
+                    cand.profile.psum.array_hops *= mesh;
+                    cand.active_pes *= rep;
+                    cand.params = MappingParams::Custom {
+                        id: FLEX_RS,
+                        knobs: [cr, cc, rep, idx],
+                    };
+                    sink(cand);
                 }
             }
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rs::RowStationaryModel;
     use crate::search::{self, Objective};
     use eyeriss_arch::TableIv;
     use eyeriss_nn::LayerShape;

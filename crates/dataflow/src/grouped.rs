@@ -14,24 +14,34 @@
 use crate::candidate::MappingCandidate;
 use eyeriss_nn::{LayerProblem, LayerShape};
 
-/// Lowers `problem` through `per_group`, a dense mapping enumerator over
-/// `(shape, batch)`: identity for dense layers; for grouped layers the
-/// per-group shape is enumerated and each candidate's profile scaled by
-/// `G` (sequential group execution).
+/// The shape a dense mapping space enumerates for `problem`: the layer
+/// itself when dense, one group of it when grouped.
+pub(crate) fn enumerated_shape(problem: &LayerProblem) -> LayerShape {
+    if problem.shape.groups <= 1 {
+        problem.shape
+    } else {
+        problem.shape.per_group()
+    }
+}
+
+/// Lowers `problem` through `per_group`, a dense mapping visitor over
+/// `(shape, batch, sink)`: identity for dense layers; for grouped layers
+/// the per-group shape is visited and each candidate's profile scaled by
+/// `G` (sequential group execution) on its way to `sink`.
 pub(crate) fn lower(
     problem: &LayerProblem,
-    per_group: impl Fn(&LayerShape, usize) -> Vec<MappingCandidate>,
-) -> Vec<MappingCandidate> {
+    sink: &mut dyn FnMut(MappingCandidate),
+    per_group: impl FnOnce(&LayerShape, usize, &mut dyn FnMut(MappingCandidate)),
+) {
     let g = problem.shape.groups;
+    let shape = enumerated_shape(problem);
     if g <= 1 {
-        return per_group(&problem.shape, problem.batch);
+        return per_group(&shape, problem.batch, sink);
     }
-    let shape = problem.shape.per_group();
-    let mut cands = per_group(&shape, problem.batch);
-    for c in &mut cands {
+    per_group(&shape, problem.batch, &mut |mut c| {
         c.profile.scale(g as f64);
-    }
-    cands
+        sink(c);
+    });
 }
 
 #[cfg(test)]

@@ -47,12 +47,18 @@ pub fn builtin(kind: DataflowKind) -> &'static dyn Dataflow {
 /// use eyeriss_arch::AcceleratorConfig;
 /// use eyeriss_nn::LayerProblem;
 ///
+/// /// A space that cannot operate anywhere: it streams no candidate.
 /// struct Toy;
 /// impl Dataflow for Toy {
 ///     fn id(&self) -> DataflowId { DataflowId::new("TOY") }
 ///     fn rf_bytes(&self) -> f64 { 8.0 }
-///     fn enumerate(&self, _: &LayerProblem, _: &AcceleratorConfig) -> Vec<MappingCandidate> {
-///         Vec::new()
+///     fn visit(
+///         &self,
+///         _: &LayerProblem,
+///         _: &AcceleratorConfig,
+///         _shard: usize,
+///         _sink: &mut dyn FnMut(MappingCandidate),
+///     ) {
 ///     }
 /// }
 ///
@@ -191,8 +197,13 @@ mod tests {
         fn rf_bytes(&self) -> f64 {
             8.0
         }
-        fn enumerate(&self, _: &LayerProblem, _: &AcceleratorConfig) -> Vec<MappingCandidate> {
-            Vec::new()
+        fn visit(
+            &self,
+            _: &LayerProblem,
+            _: &AcceleratorConfig,
+            _: usize,
+            _: &mut dyn FnMut(MappingCandidate),
+        ) {
         }
     }
 

@@ -73,84 +73,104 @@ impl Dataflow for RowStationaryModel {
         DataflowKind::RowStationary.rf_bytes()
     }
 
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
-        crate::grouped::lower(problem, |shape, n| self.mappings(shape, n, hw))
+    /// One shard per strip width `e`, the outer loop of the space.
+    fn shards(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> usize {
+        strip_widths(&crate::grouped::enumerated_shape(problem), hw).len()
+    }
+
+    fn visit(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        shard: usize,
+        sink: &mut dyn FnMut(MappingCandidate),
+    ) {
+        crate::grouped::lower(problem, sink, |shape, n, sink| {
+            let e = strip_widths(shape, hw)[shard];
+            visit_strip(shape, n, hw, e, sink);
+        });
     }
 }
 
-impl RowStationaryModel {
-    /// Enumerates feasible mappings of `shape` at batch `n_batch` on `hw`
-    /// (the explicit-arguments form of [`Dataflow::enumerate`]).
-    pub fn mappings(
-        &self,
-        shape: &LayerShape,
-        n_batch: usize,
-        hw: &AcceleratorConfig,
-    ) -> Vec<MappingCandidate> {
-        let (ah, aw) = (hw.grid.rows, hw.grid.cols);
-        let rf_words = hw.rf_words_per_pe();
-        let buf_words = hw.buffer_words();
-        let (m_dim, c_dim, e_dim, r_filt) = (shape.m, shape.c, shape.e, shape.r);
-        if r_filt > ah {
-            // A set's filter rows must fit one array column; the paper's
-            // configurations always satisfy this (R <= 11, arrays >= 12 rows).
-            return Vec::new();
-        }
+/// The strip widths `e` (ofmap rows per set) the space of `shape` on
+/// `hw` ranges over, in enumeration order; empty when a set's filter
+/// rows do not fit one array column (the paper's configurations always
+/// fit: R <= 11, arrays >= 12 rows).
+fn strip_widths(shape: &LayerShape, hw: &AcceleratorConfig) -> Vec<usize> {
+    if shape.r > hw.grid.rows {
+        return Vec::new();
+    }
+    factor_candidates(shape.e, hw.grid.cols)
+}
 
-        let mut out = Vec::new();
-        // The inner knob lists do not depend on the outer loop variables
-        // (only `t`'s cap involves `e`), so each is enumerated once
-        // instead of once per enclosing iteration.
-        let r_list = factor_candidates(c_dim, ah / r_filt);
-        let p_list = factor_candidates(m_dim, 64);
-        let q_list = factor_candidates(c_dim, c_dim);
-        let n_list = factor_candidates(n_batch, n_batch);
-        for &e in &factor_candidates(e_dim, aw) {
-            let strips = ceil_div(e_dim, e);
-            let rows_strip = shape.ifmap_rows_for_strip(e.min(e_dim));
-            for &r in &r_list {
-                for &t in &factor_candidates(m_dim, aw / e) {
-                    for &p in &p_list {
-                        if p * t > m_dim && t > 1 {
+/// Streams every feasible mapping of `shape` at batch `n_batch` on `hw`
+/// to `sink`, in enumeration order (all strip widths in turn).
+pub(crate) fn visit_all(
+    shape: &LayerShape,
+    n_batch: usize,
+    hw: &AcceleratorConfig,
+    sink: &mut dyn FnMut(MappingCandidate),
+) {
+    for e in strip_widths(shape, hw) {
+        visit_strip(shape, n_batch, hw, e, sink);
+    }
+}
+
+/// Streams the feasible mappings of `shape` at batch `n_batch` on `hw`
+/// whose sets are strip-mined to `e` ofmap rows.
+fn visit_strip(
+    shape: &LayerShape,
+    n_batch: usize,
+    hw: &AcceleratorConfig,
+    e: usize,
+    sink: &mut dyn FnMut(MappingCandidate),
+) {
+    let (ah, aw) = (hw.grid.rows, hw.grid.cols);
+    let rf_words = hw.rf_words_per_pe();
+    let buf_words = hw.buffer_words();
+    let (m_dim, c_dim, e_dim, r_filt) = (shape.m, shape.c, shape.e, shape.r);
+    let r_list = factor_candidates(c_dim, ah / r_filt);
+    let p_list = factor_candidates(m_dim, 64);
+    let q_list = factor_candidates(c_dim, c_dim);
+    let n_list = factor_candidates(n_batch, n_batch);
+    let strips = ceil_div(e_dim, e);
+    let rows_strip = shape.ifmap_rows_for_strip(e.min(e_dim));
+    for &r in &r_list {
+        for &t in &factor_candidates(m_dim, aw / e) {
+            for &p in &p_list {
+                if p * t > m_dim && t > 1 {
+                    continue;
+                }
+                for &q in &q_list {
+                    if q * r > c_dim && r > 1 {
+                        continue;
+                    }
+                    for &n in &n_list {
+                        // First-phase folding bounded by the RF (see
+                        // [`rf_words_needed`]).
+                        if rf_words_needed(shape, n, p, q) > rf_words {
                             continue;
                         }
-                        for &q in &q_list {
-                            if q * r > c_dim && r > 1 {
-                                continue;
-                            }
-                            for &n in &n_list {
-                                // First-phase folding bounded by the RF
-                                // (see [`rf_words_needed`]).
-                                if rf_words_needed(shape, n, p, q) > rf_words {
-                                    continue;
-                                }
-                                for filter_resident in [false, true] {
-                                    if let Some(cand) = evaluate(
-                                        shape,
-                                        n_batch,
-                                        Knobs {
-                                            n,
-                                            p,
-                                            q,
-                                            e,
-                                            r,
-                                            t,
-                                            strips,
-                                            rows_strip,
-                                            filter_resident,
-                                        },
-                                        buf_words,
-                                    ) {
-                                        out.push(cand);
-                                    }
-                                }
+                        for filter_resident in [false, true] {
+                            let knobs = Knobs {
+                                n,
+                                p,
+                                q,
+                                e,
+                                r,
+                                t,
+                                strips,
+                                rows_strip,
+                                filter_resident,
+                            };
+                            if let Some(cand) = evaluate(shape, n_batch, knobs, buf_words) {
+                                sink(cand);
                             }
                         }
                     }
                 }
             }
         }
-        out
     }
 }
 
@@ -300,7 +320,7 @@ mod tests {
         let model = RowStationaryModel;
         let em = EnergyModel::table_iv();
         model
-            .mappings(shape, n, hw)
+            .enumerate(&LayerProblem::new(*shape, n), hw)
             .into_iter()
             .min_by(|a, b| {
                 a.profile
@@ -413,7 +433,9 @@ mod tests {
             rf_bytes_per_pe: 512.0,
             buffer_bytes: 131072.0,
         };
-        assert!(RowStationaryModel.mappings(&shape, 1, &hw).is_empty());
+        assert!(RowStationaryModel
+            .enumerate(&LayerProblem::new(shape, 1), &hw)
+            .is_empty());
     }
 
     #[test]

@@ -9,6 +9,19 @@
 //! optimizer never learns *which* dataflow it is searching, so spaces
 //! registered through [`crate::DataflowRegistry`] beyond the paper's six
 //! are searched identically.
+//!
+//! # Streaming, sharded scan
+//!
+//! The space is never collected. [`optimize`] asks the dataflow for its
+//! [shards](Dataflow::shards) and scans them across cores with
+//! `eyeriss_par`; each shard [streams](Dataflow::visit) its candidates
+//! into a band keeper that scores them as they arrive and keeps only the
+//! running minimum and the candidates within the utilization tie band of
+//! it, pruning whenever the minimum drops. The bands are merged in shard
+//! order — the space's enumeration order — and the tie-break fold runs
+//! over that short list, so the winner is bit-identical to scoring the
+//! whole [`enumerate`](Dataflow::enumerate)d list. Memory scales with
+//! the near-optimal band, not with the space.
 
 use crate::candidate::MappingCandidate;
 use crate::dataflow::Dataflow;
@@ -182,27 +195,25 @@ fn optimize_impl(
         };
         objective.score(energy, delay)
     };
-    // The exhaustive scan is the hot path of every sweep experiment:
-    // validate and score candidates in place across all cores — the
-    // borrowing map returns one `f64` per candidate (`NAN` marks an
-    // invalid profile), so no candidate is ever moved or cloned during
-    // the scan. Selection stays sequential (a cheap index fold); only
-    // the single winner leaves the enumeration buffer. Small spaces stay
-    // sequential — thread spawn would dominate.
     let screen = |c: &MappingCandidate| -> f64 {
         if !c.profile.is_valid() {
             return f64::NAN;
         }
         score(c)
     };
-    let mut cands = df.enumerate(problem, hw);
-    tele.candidates.add(cands.len() as u64);
-    let scores: Vec<f64> = if cands.len() >= PAR_SCAN_THRESHOLD {
-        eyeriss_par::par_map_slice(&cands, screen)
-    } else {
-        cands.iter().map(screen).collect()
-    };
-    let best = scores.iter().copied().fold(f64::INFINITY, f64::min);
+    // The exhaustive scan is the hot path of every sweep experiment:
+    // each shard of the space streams through its own band keeper on
+    // its own core, so the space is never materialized and only the
+    // near-optimal band outlives the scan.
+    let shards: Vec<usize> = (0..df.shards(problem, hw)).collect();
+    let bands = eyeriss_par::par_map_slice(&shards, |&shard| {
+        let mut band = Band::new();
+        df.visit(problem, hw, shard, &mut |c| band.offer(screen(&c), c));
+        band
+    });
+    tele.candidates
+        .add(bands.iter().map(|b| b.streamed).sum::<u64>());
+    let best = bands.iter().map(|b| b.best).fold(f64::INFINITY, f64::min);
     if !best.is_finite() {
         return None;
     }
@@ -211,10 +222,11 @@ fn optimize_impl(
     // utilizes available PEs", and its Fig. 13 delays presume mappings
     // that fill the array when doing so costs (almost) nothing. Among
     // equally utilized near-ties the later candidate wins (the `max_by`
-    // convention this fold replaces).
-    let mut winner: Option<usize> = None;
+    // convention this fold replaces). The bands, merged in shard order,
+    // hold every candidate within the cut in enumeration order.
     let cut = best * UTILIZATION_TIE_BAND;
-    for (i, &s) in scores.iter().enumerate() {
+    let mut winner: Option<(f64, MappingCandidate)> = None;
+    for (s, c) in bands.into_iter().flat_map(|b| b.kept) {
         // `partial_cmp` excludes the NaN invalid-candidate markers.
         if !matches!(
             s.partial_cmp(&cut),
@@ -222,22 +234,54 @@ fn optimize_impl(
         ) {
             continue;
         }
-        winner = match winner {
-            None => Some(i),
-            Some(w) => {
-                let ord = cands[i]
-                    .active_pes
-                    .cmp(&cands[w].active_pes)
-                    .then_with(|| scores[w].partial_cmp(&s).expect("finite scores"));
-                if ord == std::cmp::Ordering::Less {
-                    Some(w)
-                } else {
-                    Some(i)
-                }
-            }
-        };
+        let keep_current = winner.as_ref().is_some_and(|(ws, w)| {
+            c.active_pes
+                .cmp(&w.active_pes)
+                .then_with(|| ws.partial_cmp(&s).expect("finite scores"))
+                == std::cmp::Ordering::Less
+        });
+        if !keep_current {
+            winner = Some((s, c));
+        }
     }
-    winner.map(|w| cands.swap_remove(w))
+    winner.map(|(_, c)| c)
+}
+
+/// One shard's streaming scan state: the running minimum score and every
+/// candidate within [`UTILIZATION_TIE_BAND`] of it, in arrival order.
+///
+/// The band is exact for the final selection. A candidate within the cut
+/// of the *global* minimum is within the cut of this shard's running
+/// minimum at every moment (that minimum never falls below the global
+/// one), so it is never pruned; candidates outside the band of a running
+/// minimum can never re-enter it, because minima only fall.
+struct Band {
+    best: f64,
+    kept: Vec<(f64, MappingCandidate)>,
+    streamed: u64,
+}
+
+impl Band {
+    fn new() -> Self {
+        Band {
+            best: f64::INFINITY,
+            kept: Vec::new(),
+            streamed: 0,
+        }
+    }
+
+    /// Scores one streamed candidate (`NAN` marks an invalid profile).
+    fn offer(&mut self, score: f64, cand: MappingCandidate) {
+        self.streamed += 1;
+        if score < self.best {
+            self.best = score;
+            let cut = score * UTILIZATION_TIE_BAND;
+            self.kept.retain(|&(s, _)| s <= cut);
+        }
+        if score <= self.best * UTILIZATION_TIE_BAND {
+            self.kept.push((score, cand));
+        }
+    }
 }
 
 /// Optimizes a whole list of problems in `df`'s space, deduplicating
@@ -338,9 +382,6 @@ impl<'a> MappingMemo<'a> {
         self.hits
     }
 }
-
-/// Candidate spaces at least this large are screened in parallel.
-const PAR_SCAN_THRESHOLD: usize = 192;
 
 /// Candidates within this factor of the optimal objective are considered
 /// tied and resolved by active-PE count.

@@ -223,8 +223,13 @@ mod tests {
             fn rf_bytes(&self) -> f64 {
                 8.0
             }
-            fn enumerate(&self, _: &LayerProblem, _: &AcceleratorConfig) -> Vec<MappingCandidate> {
-                Vec::new()
+            fn visit(
+                &self,
+                _: &LayerProblem,
+                _: &AcceleratorConfig,
+                _: usize,
+                _: &mut dyn FnMut(MappingCandidate),
+            ) {
             }
         }
         let params = MappingParams::Custom {

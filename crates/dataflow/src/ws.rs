@@ -37,36 +37,38 @@ impl Dataflow for WeightStationaryModel {
         DataflowKind::WeightStationary.rf_bytes()
     }
 
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
-        crate::grouped::lower(problem, |shape, n| self.mappings(shape, n, hw))
+    fn visit(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        _shard: usize,
+        sink: &mut dyn FnMut(MappingCandidate),
+    ) {
+        crate::grouped::lower(problem, sink, |shape, n, sink| mappings(shape, n, hw, sink));
     }
 }
 
-impl WeightStationaryModel {
-    /// Enumerates feasible mappings of `shape` at batch `n_batch` on `hw`
-    /// (the explicit-arguments form of [`Dataflow::enumerate`]).
-    pub fn mappings(
-        &self,
-        shape: &LayerShape,
-        n_batch: usize,
-        hw: &AcceleratorConfig,
-    ) -> Vec<MappingCandidate> {
-        // R x R weight blocks pack geometrically into the grid; leftover
-        // strips narrower than R are unusable.
-        let blocks = (hw.grid.rows / shape.r) * (hw.grid.cols / shape.r);
-        if blocks == 0 {
-            return Vec::new();
-        }
-        let buf_words = hw.buffer_words();
-        let mut out = Vec::new();
-        for &g_m in &factor_candidates(shape.m, blocks) {
-            for &g_c in &factor_candidates(shape.c, blocks / g_m) {
-                if let Some(cand) = evaluate(shape, n_batch, g_m, g_c, buf_words) {
-                    out.push(cand);
-                }
+/// Streams the feasible mappings of `shape` at batch `n_batch` on `hw`
+/// to `sink`.
+fn mappings(
+    shape: &LayerShape,
+    n_batch: usize,
+    hw: &AcceleratorConfig,
+    sink: &mut dyn FnMut(MappingCandidate),
+) {
+    // R x R weight blocks pack geometrically into the grid; leftover
+    // strips narrower than R are unusable.
+    let blocks = (hw.grid.rows / shape.r) * (hw.grid.cols / shape.r);
+    if blocks == 0 {
+        return;
+    }
+    let buf_words = hw.buffer_words();
+    for &g_m in &factor_candidates(shape.m, blocks) {
+        for &g_c in &factor_candidates(shape.c, blocks / g_m) {
+            if let Some(cand) = evaluate(shape, n_batch, g_m, g_c, buf_words) {
+                sink(cand);
             }
         }
-        out
     }
 }
 
@@ -149,7 +151,7 @@ mod tests {
         let conv1 = &alexnet::conv_layers()[0].shape;
         assert!(
             WeightStationaryModel
-                .mappings(conv1, 64, &hw(256))
+                .enumerate(&LayerProblem::new(*conv1, 64), &hw(256))
                 .is_empty(),
             "CONV1 must be infeasible at N=64 on 256 PEs"
         );
@@ -159,7 +161,7 @@ mod tests {
     fn feasible_on_conv1_at_batch_16_with_256_pes() {
         let conv1 = &alexnet::conv_layers()[0].shape;
         assert!(!WeightStationaryModel
-            .mappings(conv1, 16, &hw(256))
+            .enumerate(&LayerProblem::new(*conv1, 16), &hw(256))
             .is_empty());
     }
 
@@ -169,14 +171,14 @@ mod tests {
         // whose baseline area buys a bigger buffer.
         let conv1 = &alexnet::conv_layers()[0].shape;
         assert!(!WeightStationaryModel
-            .mappings(conv1, 64, &hw(1024))
+            .enumerate(&LayerProblem::new(*conv1, 64), &hw(1024))
             .is_empty());
     }
 
     #[test]
     fn weight_rf_reads_equal_macs() {
         let conv2 = &alexnet::conv_layers()[1].shape;
-        let cands = WeightStationaryModel.mappings(conv2, 16, &hw(256));
+        let cands = WeightStationaryModel.enumerate(&LayerProblem::new(*conv2, 16), &hw(256));
         for c in &cands {
             assert_eq!(c.profile.filter.rf_reads, conv2.macs(16) as f64);
             // WS never uses the RF for psums (Table III).
@@ -189,7 +191,7 @@ mod tests {
     fn dram_filter_reads_are_minimal() {
         // Each weight enters the chip exactly once.
         let conv3 = &alexnet::conv_layers()[2].shape;
-        for c in WeightStationaryModel.mappings(conv3, 16, &hw(256)) {
+        for c in WeightStationaryModel.enumerate(&LayerProblem::new(*conv3, 16), &hw(256)) {
             assert_eq!(c.profile.filter.dram_reads, conv3.filter_words() as f64);
         }
     }
@@ -198,7 +200,7 @@ mod tests {
     fn ifmap_dram_reads_scale_with_filter_groups() {
         // Smaller g_m -> more weight-set swaps -> more ifmap re-streams.
         let conv2 = &alexnet::conv_layers()[1].shape;
-        let cands = WeightStationaryModel.mappings(conv2, 16, &hw(256));
+        let cands = WeightStationaryModel.enumerate(&LayerProblem::new(*conv2, 16), &hw(256));
         let small = cands
             .iter()
             .find(|c| matches!(c.params, MappingParams::WeightStationary { g_m: 1, .. }))
@@ -217,7 +219,7 @@ mod tests {
     fn active_pes_bounded_by_blocks() {
         // R=11 -> 11x11 blocks; only one packs into a 16x16 grid.
         let conv1 = &alexnet::conv_layers()[0].shape;
-        for c in WeightStationaryModel.mappings(conv1, 16, &hw(256)) {
+        for c in WeightStationaryModel.enumerate(&LayerProblem::new(*conv1, 16), &hw(256)) {
             assert!(c.active_pes <= 121, "one 11x11 block fits a 16x16 grid");
         }
     }
@@ -226,7 +228,7 @@ mod tests {
     fn infeasible_when_block_exceeds_array() {
         let shape = LayerShape::conv(4, 4, 40, 20, 1).unwrap(); // 400-PE block
         assert!(WeightStationaryModel
-            .mappings(&shape, 1, &hw(256))
+            .enumerate(&LayerProblem::new(shape, 1), &hw(256))
             .is_empty());
     }
 }

@@ -1,12 +1,14 @@
 //! Minimal data-parallelism for the Eyeriss workspace.
 //!
-//! The cluster executor and the mapping-search hot path want a rayon-style
+//! The cluster executor and the mapping search want a rayon-style
 //! `par_iter().map().collect()`, but this workspace builds offline with no
 //! external crates, so this module provides the one primitive they need:
-//! an order-preserving parallel map built on [`std::thread::scope`]. Work
-//! is split into one contiguous chunk per worker — the workloads here
-//! (scoring mapping candidates, simulating per-array sub-problems) are
-//! uniform enough that static chunking is within noise of work stealing.
+//! an order-preserving parallel map built on [`std::thread::scope`].
+//! [`par_map`] splits work into one contiguous chunk per worker;
+//! [`par_map_slice`] hands out several chunks per worker dynamically, for
+//! skewed items — per-array sub-problems with unequal tile counts, or the
+//! shards of a mapping space, which the search streams and scores one
+//! shard per item.
 //!
 //! The calling thread is one of the workers: a map over `n` workers
 //! spawns `n − 1` scoped threads and runs the remaining share itself
@@ -87,8 +89,8 @@ where
 /// How many chunks each worker gets on average in the slice-borrowing
 /// maps. Oversubscribing chunks (more chunks than workers, handed out
 /// dynamically) keeps every thread busy when per-item costs are skewed —
-/// e.g. cluster sub-problems whose tile counts differ, or mapping
-/// candidates whose validation cost varies with the fold structure.
+/// e.g. cluster sub-problems whose tile counts differ, or mapping-space
+/// shards whose candidate counts differ.
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// Maps `f` over a borrowed slice in parallel, preserving order, without
@@ -96,7 +98,7 @@ const CHUNKS_PER_WORKER: usize = 4;
 ///
 /// Unlike [`par_map`], items stay where they are: workers receive `&T`,
 /// so the caller can map over data it only borrows (a compiled plan's
-/// sub-problems, a candidate list that will be indexed afterwards). Work
+/// sub-problems, a list of mapping-space shard indices). Work
 /// is handed out as several times more chunks than workers
 /// (`CHUNKS_PER_WORKER`), claimed dynamically, so skewed per-item costs
 /// do not leave threads idle behind one unlucky static chunk.

@@ -14,58 +14,9 @@ use eyeriss::prelude::*;
 use eyeriss::Objective;
 use std::sync::Arc;
 
-/// A toy seventh dataflow: `k` ofmap channels mapped to `k` PEs, the
-/// whole ifmap refetched once per channel group. Not a good dataflow —
-/// the point is that nothing in `search`/`cluster`/`serve` knows it
-/// exists, yet everything works through the trait.
-struct ChannelCyclic;
+mod support;
 
-const TOY: DataflowId = DataflowId::new("TOY-CC");
-
-impl Dataflow for ChannelCyclic {
-    fn id(&self) -> DataflowId {
-        TOY
-    }
-
-    fn rf_bytes(&self) -> f64 {
-        16.0
-    }
-
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
-        let shape = &problem.shape;
-        let n = problem.batch;
-        let macs = shape.macs(n) as f64;
-        let mut out = Vec::new();
-        let mut k = 1usize;
-        while k <= shape.m.min(hw.num_pes()) {
-            let groups = shape.m.div_ceil(k) as f64;
-            let mut profile = eyeriss::arch::LayerAccessProfile::new();
-            profile.alu_ops = macs;
-            // Each channel group re-streams the full ifmap from DRAM.
-            profile.ifmap.dram_reads = shape.ifmap_words(n) as f64 * groups;
-            profile.ifmap.buffer_writes = profile.ifmap.dram_reads;
-            profile.ifmap.buffer_reads = macs / k as f64;
-            profile.ifmap.rf_reads = macs;
-            profile.filter.dram_reads = shape.filter_words() as f64;
-            profile.filter.buffer_writes = profile.filter.dram_reads;
-            profile.filter.buffer_reads = shape.filter_words() as f64;
-            profile.filter.rf_reads = macs;
-            profile.psum.rf_reads = macs;
-            profile.psum.rf_writes = macs;
-            profile.psum.dram_writes = shape.ofmap_words(n) as f64;
-            out.push(MappingCandidate {
-                profile,
-                active_pes: k,
-                params: eyeriss::dataflow::MappingParams::Custom {
-                    id: TOY,
-                    knobs: [k, 0, 0, 0],
-                },
-            });
-            k *= 2;
-        }
-        out
-    }
-}
+use support::{ChannelCyclic, TOY};
 
 #[test]
 fn seventh_dataflow_searches_through_the_registry() {
